@@ -7,11 +7,14 @@ end-to-end plus per-procedure wall-clock timings to ``BENCH_hot_path.json``:
 * ``engine="reference"`` reproduces the seed hot path exactly (per-depth BFS,
   fancy-indexed CSR submatrices, full feature-matrix copies, Python-dict
   index maps) — the pre-change baseline.
-* ``engine="fused"`` is the zero-copy masked-SpMM engine with hop-indexed
-  support pruning, measured in both float64 and float32.
+* ``engine="fused"`` is the demand-driven engine, which computes a row's
+  ``X^(j)`` only when a still-active target needs it, measured in both
+  float64 and float32.
 
-Every comparison asserts that predictions, depth distributions and MAC
-counts are unchanged, so the recorded speedups are pure implementation wins.
+Every comparison asserts that predictions and depth distributions are
+unchanged, that the fused propagation MACs equal the demand closure of the
+reference's exit depths (never more than the reference), and that every
+other MAC term is unchanged (``macs_equal``).
 The JSON gives this and future PRs a perf trajectory; rerun after touching
 the inference engine, the sampling layer or the sparse kernels.
 
@@ -38,6 +41,7 @@ import numpy as np
 
 from repro.experiments import ExperimentProfile
 from repro.experiments.context import TrainedContext, get_context
+from repro.graph import closure_propagation_macs, normalized_adjacency
 
 #: Engine/dtype variants measured against the float64 reference baseline.
 VARIANTS: tuple[tuple[str, str], ...] = (("fused", "float64"), ("fused", "float32"))
@@ -117,6 +121,17 @@ def run_workload(
     baseline, baseline_wall = _measure(
         context, policy, config.with_updates(engine="reference", dtype="float64"), repeats
     )
+    # Propagation MACs the demand-driven engine must execute: the demand
+    # closure of the oracle's exit depths (no more than the reference's).
+    dataset = context.dataset
+    closure_macs = closure_propagation_macs(
+        normalized_adjacency(dataset.graph, gamma=context.nai.backbone.gamma),
+        dataset.split.test_idx,
+        baseline.depths,
+        t_max=config.t_max,
+        batch_size=config.batch_size,
+        num_features=dataset.num_features,
+    )
     record = {
         "dataset": dataset_name,
         "workload": label,
@@ -132,7 +147,13 @@ def run_workload(
         )
         predictions_equal = bool(np.array_equal(baseline.predictions, result.predictions))
         depths_equal = bool(np.array_equal(baseline.depths, result.depths))
-        macs_equal = bool(abs(baseline.macs.total - result.macs.total) < 1e-6)
+        macs_equal = bool(
+            result.macs.propagation == closure_macs
+            and result.macs.stationary == baseline.macs.stationary
+            and result.macs.decision == baseline.macs.decision
+            and result.macs.classification == baseline.macs.classification
+            and result.macs.total <= baseline.macs.total
+        )
         if not (predictions_equal and depths_equal and macs_equal):
             raise AssertionError(
                 f"{dataset_name}/{label} {engine}/{dtype}: engine outputs diverged "

@@ -42,7 +42,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full run
     PYTHONPATH=src python benchmarks/bench_serving.py --quick    # smoke run
-    PYTHONPATH=src python benchmarks/bench_serving.py --sweep-run-dispatch
     PYTHONPATH=src python benchmarks/bench_serving.py --suites adaptive
 
 The ``--quick`` mode is wired into tier-1 as the ``serving_bench`` pytest
@@ -184,6 +183,11 @@ def run_streaming_suite(
     if not macs_equal:
         raise AssertionError(f"{label}: MAC counts diverged")
     sequential_sampling = sum(r.timings.sampling for r in sequential)
+    # The sequential predictor propagates straight from the global CSR and
+    # samples nothing, so the cache's saving is measured against a server
+    # that builds every tick's bundle afresh.
+    sampler = predictor.make_engine()
+    uncached_sampling = sum(sampler.build_support(t).build_seconds for t in ticks)
     num_nodes = sum(t.shape[0] for t in ticks)
     return {
         "dataset": dataset_name,
@@ -202,8 +206,9 @@ def run_streaming_suite(
         "cache_misses": stats.cache_misses,
         "sequential_sampling_seconds": sequential_sampling,
         "served_sampling_seconds": served_sampling,
+        "uncached_sampling_seconds": uncached_sampling,
         "sampling_time_reduction": (
-            1.0 - served_sampling / sequential_sampling if sequential_sampling else 0.0
+            1.0 - served_sampling / uncached_sampling if uncached_sampling else 0.0
         ),
         "served_latency_ms": stats.latency.scaled(1e3).as_dict(),
     }
@@ -486,35 +491,11 @@ def run_adaptive_suite(
     }
 
 
-def sweep_run_dispatch(context: TrainedContext, dataset_name: str) -> list[dict]:
-    """Sweep ``NAIConfig.run_dispatch_threshold`` (ROADMAP tunable)."""
-    records = []
-    test_idx = np.asarray(context.dataset.split.test_idx)
-    for threshold in (0, 2, 8, 32, 128):
-        config = context.nai_config(threshold_quantile=0.5).with_updates(
-            run_dispatch_threshold=threshold
-        )
-        predictor = context.nai.build_predictor(policy="distance", config=config)
-        predictor.prepare(context.dataset.graph, context.dataset.features)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            result = predictor.predict(test_idx)
-            best = min(best, time.perf_counter() - start)
-        records.append({
-            "dataset": dataset_name,
-            "run_dispatch_threshold": threshold,
-            "wall_seconds": best,
-            "propagation_seconds": result.timings.propagation,
-        })
-    return records
-
-
 ALL_SUITES = ("streaming", "online", "scaling", "adaptive")
 
 
 def run_bench(
-    *, quick: bool = False, sweep: bool = False,
+    *, quick: bool = False,
     suites_selected: tuple[str, ...] = ALL_SUITES,
 ) -> dict:
     profile = QUICK_PROFILE if quick else FULL_PROFILE
@@ -526,7 +507,6 @@ def run_bench(
     num_requests = 30 if quick else 120
 
     suites: list[dict] = []
-    sweeps: list[dict] = []
     # The virtual-time ramp depends only on the scripted scenario (not on
     # any dataset), so it is computed exactly once per run.
     virtual_ramp = (
@@ -578,8 +558,6 @@ def run_bench(
                 "adaptive overload "
                 f"{virtual_ramp['overload_speedup']:.2f}x"
             )
-        if sweep:
-            sweeps.extend(sweep_run_dispatch(context, dataset_name))
         print(" | ".join(headline))
 
     streaming_records = [s for s in suites if s["suite"] == "streaming"]
@@ -638,7 +616,6 @@ def run_bench(
         },
         "suites": suites,
         "virtual_ramp": virtual_ramp,
-        "run_dispatch_sweep": sweeps,
         "aggregate": aggregate,
     }
 
@@ -648,10 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick", action="store_true",
         help="small deterministic smoke run (used by the tier-1 marker test)",
-    )
-    parser.add_argument(
-        "--sweep-run-dispatch", action="store_true",
-        help="also sweep NAIConfig.run_dispatch_threshold (ROADMAP tunable)",
     )
     parser.add_argument(
         "--suites", default=",".join(ALL_SUITES),
@@ -672,8 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown suites: {sorted(unknown)}")
 
     report = run_bench(
-        quick=args.quick, sweep=args.sweep_run_dispatch,
-        suites_selected=suites_selected,
+        quick=args.quick, suites_selected=suites_selected,
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     aggregate = report["aggregate"]

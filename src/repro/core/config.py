@@ -100,17 +100,10 @@ class NAIConfig:
         precision.  Classifier weights stay float64, so logits are computed
         in double precision either way.
     engine:
-        ``"fused"`` (default) runs the zero-copy masked-SpMM engine with
-        hop-indexed support pruning; ``"reference"`` keeps the naive
-        per-depth submatrix implementation, retained as the equivalence and
-        benchmarking baseline.
-    run_dispatch_threshold:
-        Run-count crossover of the fused engine's masked SpMM: row masks
-        with at most this many contiguous runs use zero-copy per-run kernel
-        dispatch, more fragmented masks compact their rows first
-        (:func:`repro.graph.kernels.auto_masked_spmm`).  The best value
-        depends on nnz-per-run and feature width; ``benchmarks/
-        bench_serving.py`` can sweep it.
+        ``"fused"`` (default) runs the demand-driven engine, which computes
+        a row's ``X^(j)`` only when a still-active target needs it;
+        ``"reference"`` keeps the naive per-depth submatrix implementation,
+        retained as the equivalence and benchmarking baseline.
     """
 
     t_min: int = 1
@@ -119,7 +112,6 @@ class NAIConfig:
     batch_size: int = 500
     dtype: str = "float32"
     engine: str = "fused"
-    run_dispatch_threshold: int = 8
 
     def __post_init__(self) -> None:
         if self.t_min < 1:
@@ -139,11 +131,6 @@ class NAIConfig:
         if self.engine not in ("fused", "reference"):
             raise ConfigurationError(
                 f"engine must be 'fused' or 'reference', got {self.engine!r}"
-            )
-        if self.run_dispatch_threshold < 0:
-            raise ConfigurationError(
-                f"run_dispatch_threshold must be non-negative, got "
-                f"{self.run_dispatch_threshold}"
             )
 
     @property
@@ -174,7 +161,7 @@ class ServingConfig:
     ----------
     num_workers:
         Size of the inference worker pool.  Each worker owns a private
-        :class:`~repro.core.inference.BatchEngine` (its own double buffers
+        :class:`~repro.core.inference.BatchEngine` (its own memo buffers
         and raw CSR state), so independent micro-batches run concurrently.
     backend:
         ``"thread"`` (default — scipy's compiled SpMM kernels run outside

@@ -10,10 +10,10 @@ For every inference batch of unseen nodes the engine
    with ``f^(l)`` and drops them from the batch, and
 5. classifies everything still alive at ``T_max`` with ``f^(T_max)``.
 
-Because exited nodes no longer require deeper propagation, the set of
-supporting rows that actually need to be recomputed shrinks after every
-depth; this is where the paper's speedup comes from, and the engine measures
-it both in wall-clock time and in exact multiply-accumulate counts.
+Because exited nodes no longer require deeper propagation, the rows that
+actually need computing shrink with every exit; this is where the paper's
+speedup comes from, and the engine measures it both in wall-clock time and
+in exact multiply-accumulate counts.
 
 The same engine with ``policy=None`` implements the vanilla fixed-depth
 inference of the underlying scalable GNN ("NAI w/o NAP" in the ablation) —
@@ -21,27 +21,43 @@ set ``t_min = t_max = k`` to recover the original model exactly.
 
 Hot-path architecture (``engine="fused"``, the default)
 -------------------------------------------------------
-The per-depth cost of Algorithm 1 is dominated by *selecting* and
-*recomputing* the supporting rows that can still influence a not-yet-exited
-target.  The fused engine removes every per-depth allocation from that loop:
+The fused engine is *demand-driven*: at depth ``d`` it computes ``X^(d)``
+only for the targets still alive.  A row that lacks ``X^(j)`` first pulls
+``X^(j-1)`` for its Â-neighbours, recursively, and each level is memoised
+in engine-owned, grow-only buffers (one per level ``1 ≤ j < T_max``, with
+a per-row generation stamp), so no row is computed twice in a batch.
+``X^(T_max)`` is only ever needed at the targets and is computed packed.
 
-* The local normalized adjacency is extracted **once per batch**
-  (:func:`~repro.graph.kernels.extract_submatrix`) and afterwards only its
-  raw ``indptr/indices/data`` arrays are touched.
-* Propagation runs through :func:`~repro.graph.kernels.masked_row_spmm`,
-  which writes ``(Â_local @ X)[rows]`` straight into a preallocated double
-  buffer — no per-depth CSR submatrix, no full feature-matrix copy.  Rows
-  that exited propagation keep stale values that are provably never read
-  again (the needed sets are nested and closed under in-neighbours).
-* Needed rows are derived from hop distances instead of a per-depth BFS.
-  :func:`~repro.graph.sampling.k_hop_neighborhood` orders local nodes by hop,
-  so before the first early exit the rows within ``T_max - depth`` hops form
-  a row *prefix* found by one ``searchsorted``.  After an exit event the hop
-  distances to the surviving targets are rebuilt once
-  (:func:`~repro.graph.kernels.hop_distances`) and subsequent depths go back
-  to thresholding — a BFS runs only when the target set actually changes.
-* The whole path is dtype-parametric: ``NAIConfig.dtype = "float32"`` halves
-  the propagation memory traffic, while classification stays float64.
+* **The demand closure.**  Over a whole batch the rows that get ``X^(j)``
+  are exactly ``S_j = {v : dist(v, t) ≤ D_t − j for some target t}``,
+  where ``D_t`` is the depth at which target ``t`` exits.  A target that
+  exits at hop 1 costs its own row at level 1 and nothing deeper — the
+  per-node halting the paper's speedup comes from.
+  :func:`~repro.graph.sampling.demand_closure` computes ``S_j``
+  independently of this loop, as the oracle for the MAC ledger.
+* **The MAC ledger.**  ``macs.propagation`` counts executed nnz × F, which
+  is ``F · Σ_j Σ_{v ∈ S_j} nnz(Â[v])``.  ``S_j`` never exceeds what the
+  reference engine recomputes, and equals it when nobody exits early
+  (``policy=None``).  Stationary, decision and classification MACs are
+  the reference's.
+* **Global path versus bundle path.**  When :meth:`BatchEngine.run_batch`
+  gets no bundle and the engine holds the full graph
+  (:meth:`NAIPredictor.predict`, a server with the subgraph cache off),
+  the loop runs directly on the global Â arrays and the feature matrix:
+  no BFS, no local-CSR extraction, no hop-0 gather, and
+  ``timings.sampling`` stays 0.  When a
+  :class:`~repro.graph.sampling.SupportBundle` is given (subgraph cache,
+  shards, waves, prefetch) the same loop runs on the bundle's local
+  arrays.  Both are bit-identical: every row the loop computes lies
+  within ``T_max − 1`` hops of a target, so it keeps all its entries, in
+  global column order, in either CSR, and the compiled SpMM sums the same
+  products in the same order.
+* **Kernels.**  :func:`~repro.graph.kernels.row_spmm` picks per-run or
+  compacted SpMM from the runs and nnz of each row set — a bundle's
+  hop-ordered frontier forms long runs, a frontier in the global graph is
+  scattered.  The whole path is dtype-parametric: ``NAIConfig.dtype =
+  "float32"`` halves the propagation memory traffic, while classification
+  stays float64.
 
 ``engine="reference"`` preserves the naive implementation (fresh BFS and
 fancy-indexed submatrix per depth) as an equivalence oracle and benchmark
@@ -51,7 +67,7 @@ two in ``BENCH_hot_path.json``.
 Worker-ownable engine state
 ---------------------------
 All per-batch execution lives in :class:`BatchEngine`, which owns the
-mutable hot-path state (the grow-only double propagation buffers) while
+mutable hot-path state (the grow-only per-level memo buffers) while
 sharing the prepared read-only deployment state (features, normalized
 adjacency, stationary vectors, classifiers).  :class:`NAIPredictor` keeps
 one engine for its sequential :meth:`~NAIPredictor.predict` loop;
@@ -61,7 +77,8 @@ concurrently without sharing scratch memory.  The sampling products of a
 batch are packaged as a :class:`~repro.graph.sampling.SupportBundle` that
 :meth:`BatchEngine.run_batch` accepts pre-built — the serving layer's
 subgraph cache replays bundles across recurring batches, skipping BFS and
-feature gathering while every MAC-counted operation still executes.
+feature gathering while every MAC-counted operation still executes.  An
+engine given no bundle needs none: it propagates from the global CSR.
 """
 
 from __future__ import annotations
@@ -73,12 +90,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..exceptions import ConfigurationError, NotFittedError
-from ..graph.kernels import (
-    auto_masked_spmm,
-    hop_distances,
-    masked_row_spmm,
-)
+from ..exceptions import ConfigurationError, GraphConstructionError, NotFittedError
+from ..graph.kernels import gather_columns, packed_row_spmm, row_spmm
 from ..graph.normalization import NormalizationScheme, normalized_adjacency
 from ..graph.sampling import (
     SupportBundle,
@@ -203,6 +216,33 @@ class InferenceResult:
         return self.timings.feature_processing / max(self.num_nodes, 1)
 
 
+def _distinct_rows(
+    rows: np.ndarray, num_rows: int, stamps: np.ndarray | None = None, generation: int = 0
+) -> np.ndarray:
+    """Sorted distinct values of ``rows`` (all in ``[0, num_rows)``).
+
+    With ``stamps``, rows already stamped ``generation`` (memoised this
+    batch) are dropped.  Sorting wins for short lists; once the list is as
+    long as the row range, one boolean scatter over ``num_rows`` is several
+    times cheaper than ``np.unique``'s hashing, and the memo filter then
+    runs once per row rather than once per occurrence.
+    """
+    if rows.size < num_rows:
+        ordered = np.sort(rows)
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        if stamps is None:
+            return distinct
+        return distinct[stamps[distinct] != generation]
+    mark = np.zeros(num_rows, dtype=bool)
+    mark[rows] = True
+    if stamps is not None:
+        mark &= stamps != generation
+    return np.flatnonzero(mark)
+
+
 class BatchEngine:
     """Executes Algorithm 1 for one batch; owns all mutable per-batch state.
 
@@ -210,7 +250,7 @@ class BatchEngine:
     feature matrix, the normalized adjacency, the stationary vectors and the
     trained classifiers — with its :class:`NAIPredictor` (and with every
     sibling engine), while owning the **mutable** hot-path state privately:
-    the grow-only double propagation buffers that the fused engine writes
+    the grow-only per-level memo buffers that the fused engine writes
     into.  That split is what makes engines worker-ownable: the serving
     layer's pool gives each worker its own engine, so concurrent batches
     never contend on scratch memory, and merging the per-engine
@@ -232,8 +272,9 @@ class BatchEngine:
         stationary: StationaryState,
     ) -> None:
         # graph/features/a_hat may be None for engines whose sampling is
-        # served elsewhere (repro.shard overrides build_support and runs the
-        # fused path, which reads only the stationary state and the bundle).
+        # served elsewhere (repro.shard overrides build_support; without a
+        # global Â the fused path reads only the stationary state and the
+        # bundle).
         if (graph is None or features is None or a_hat is None) and (
             config.engine != "fused"
         ):
@@ -251,9 +292,11 @@ class BatchEngine:
         self.stationary = stationary
         for classifier in self.classifiers:
             classifier.eval()
-        # Grow-only double buffers reused across batches (fused engine only).
-        self._buffer_a: np.ndarray | None = None
-        self._buffer_b: np.ndarray | None = None
+        # Grow-only per-level memo buffers reused across batches (fused
+        # engine only); see _memo.
+        self._memo_values: list[np.ndarray] = []
+        self._memo_stamps: list[np.ndarray] = []
+        self._generation = 0
         #: Batches executed by this engine (used by pool-utilisation stats).
         self.batches_run = 0
 
@@ -311,24 +354,39 @@ class BatchEngine:
         )
         return stationary_batch
 
-    def _propagation_buffers(self, num_local: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views over the engine-owned double buffers, grown as needed.
+    def _memo(self, num_rows: int, width: int) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+        """Per-level memo buffers and stamps for one batch, grown as needed.
 
-        Stale contents from a previous batch are harmless: every row a depth
-        step reads was either written by the previous step or (at depth 1)
-        comes from the bundle's hop-0 features, never from the raw buffer.
+        Level ``j`` (``1 ≤ j < T_max``) owns a ``(num_rows, width)`` value
+        buffer and an int64 stamp per row; a row holds a valid ``X^(j)``
+        for the current batch exactly when its stamp equals the returned
+        generation.  Bumping the generation invalidates every row at once,
+        so stale contents from a previous batch (or from a batch that
+        raised half way) are never read.  ``X^(T_max)`` is only ever needed
+        at the targets and is not memoised.
         """
         dtype = self.config.np_dtype
+        num_levels = self.config.t_max - 1
         if (
-            self._buffer_a is None
-            or self._buffer_a.shape[0] < num_local
-            or self._buffer_a.shape[1] != width
-            or self._buffer_a.dtype != dtype
+            len(self._memo_values) != num_levels
+            or (num_levels and (
+                self._memo_values[0].shape[0] < num_rows
+                or self._memo_values[0].shape[1] != width
+                or self._memo_values[0].dtype != dtype
+            ))
         ):
-            self._buffer_a = np.empty((num_local, width), dtype=dtype)
-            self._buffer_b = np.empty((num_local, width), dtype=dtype)
-        assert self._buffer_b is not None
-        return self._buffer_a[:num_local], self._buffer_b[:num_local]
+            self._memo_values = [
+                np.empty((num_rows, width), dtype=dtype) for _ in range(num_levels)
+            ]
+            self._memo_stamps = [
+                np.zeros(num_rows, dtype=np.int64) for _ in range(num_levels)
+            ]
+        self._generation += 1
+        return (
+            [values[:num_rows] for values in self._memo_values],
+            [stamps[:num_rows] for stamps in self._memo_stamps],
+            self._generation,
+        )
 
     def _run_fused(
         self,
@@ -337,7 +395,7 @@ class BatchEngine:
         keep_logits: bool,
         bundle: SupportBundle | None,
     ) -> InferenceResult:
-        """Zero-copy masked-SpMM engine with hop-indexed support pruning."""
+        """Demand-driven propagation: compute ``X^(j)`` only where a live target needs it."""
         cfg = self.config
         num_features = self.stationary.num_features
         macs = MACBreakdown()
@@ -345,82 +403,74 @@ class BatchEngine:
 
         stationary_batch = self._batch_stationary(batch, macs, timings)
 
-        # Line 3: supporting-node sampling up to T_max hops — or a replay of
-        # a cached bundle, which skips the BFS, the local-CSR extraction and
-        # the hop-0 feature gather (pure data movement; MACs are unaffected).
-        if bundle is None:
+        # The Â rows the loop reads.  With the full graph in process and no
+        # bundle, that is the global CSR and feature matrix themselves: no
+        # BFS, no local-CSR extraction, no hop-0 gather.  A bundle (subgraph
+        # cache, shards, waves, prefetch) supplies its own local arrays, and
+        # an engine without the global Â (sharded) builds one.
+        if bundle is None and (self.a_hat is None or self.features is None):
             bundle = self.build_support(batch)
             timings.sampling += bundle.build_seconds
-        support = bundle.support
-        indptr, indices, data = bundle.indptr, bundle.indices, bundle.data
-        num_local = support.num_supporting_nodes
-        target_local = support.target_local
+        if bundle is None:
+            indptr, indices, data = self.a_hat.indptr, self.a_hat.indices, self.a_hat.data
+            level0: np.ndarray = self.features
+            target_rows = batch
+            if batch.min() < 0 or batch.max() >= level0.shape[0]:
+                raise GraphConstructionError("target node ids out of range")
+        else:
+            indptr, indices, data = bundle.indptr, bundle.indices, bundle.data
+            level0 = bundle.local_features
+            target_rows = bundle.support.target_local
+        values, stamps, generation = self._memo(level0.shape[0], num_features)
 
         predictions = np.full(batch.shape[0], -1, dtype=np.int64)
         assigned_depth = np.zeros(batch.shape[0], dtype=np.int64)
         logits_store: dict[int, np.ndarray] = {}
         remaining = np.arange(batch.shape[0])
 
-        # Double propagation buffer: ``current`` always holds fresh values
-        # for every row that can still influence a remaining target; rows
-        # outside that set go stale but are provably never read again (the
-        # needed sets are nested and closed under in-neighbours).  The
-        # bundle's hop-0 rows are read-only — depth 1 reads them as the SpMM
-        # source, so the buffers never need the feature copy the seed made.
-        current, scratch = self._propagation_buffers(num_local, num_features)
-        source: np.ndarray = bundle.local_features
-
         # Per-depth history of the *batch rows* only (needed by SIGN/S2GC/GAMLP).
-        target_history: list[np.ndarray] = [bundle.local_features[target_local]]
-
-        # Hop distance of every local row to the nearest *remaining* target.
-        # While nobody has exited this is exactly ``support.hops`` — sorted by
-        # construction, so the needed rows form a prefix and no BFS runs at
-        # all.  After an exit event the distances are rebuilt once and depths
-        # in between go back to pure thresholding.
-        dist = support.hops
-        prefix_mode = True
-        dist_stale = False
+        # Entries of targets that already exited are never read.
+        target_history: list[np.ndarray] = [level0[target_rows]]
 
         for depth in range(1, cfg.t_max + 1):
-            # Rows within this many hops of a remaining target can still
-            # influence one within the depths left to run.
-            hop_budget = cfg.t_max - depth
-            if dist_stale:
-                dist = hop_distances(
-                    indptr, indices, target_local[remaining], num_local, hop_budget
-                )
-                prefix_mode = False
-                dist_stale = False
             start = time.perf_counter()
-            # The bundle's local CSR columns are < num_local by construction
-            # (extract_local_csr_arrays remaps and drops outside columns), so
-            # the per-depth O(nnz) bounds rescan is skipped.
-            if prefix_mode:
-                runs = np.array([[0, support.prefix_within(hop_budget)]], dtype=np.int64)
-                nnz = masked_row_spmm(
-                    indptr, indices, data, source, scratch, runs, assume_bounded=True
+            alive_rows = _distinct_rows(target_rows[remaining], level0.shape[0])
+            # Resolve the demand top-down: the live targets need X^(depth);
+            # every row lacking X^(j) needs X^(j-1) of its Â-neighbours.
+            # Rows already memoised at a level are dropped there, so no row
+            # is computed twice in a batch.
+            demand = {depth: alive_rows}
+            for level in range(depth, 1, -1):
+                demand[level - 1] = _distinct_rows(
+                    gather_columns(indptr, indices, demand[level]),
+                    level0.shape[0], stamps[level - 2], generation,
                 )
+            # Then compute bottom-up, each level from the one below it.
+            for level in range(1, depth + 1):
+                rows = demand[level]
+                source = level0 if level == 1 else values[level - 2]
+                if level < cfg.t_max:
+                    nnz = row_spmm(indptr, indices, data, source, values[level - 1], rows)
+                    stamps[level - 1][rows] = generation
+                else:
+                    top, nnz = packed_row_spmm(
+                        indptr, indices, data, source, rows, assume_bounded=True
+                    )
+                macs.propagation += float(nnz) * num_features
+            if depth < cfg.t_max:
+                target_history.append(values[depth - 1][target_rows])
             else:
-                nnz = auto_masked_spmm(
-                    indptr, indices, data, source, scratch, dist <= hop_budget,
-                    max_zero_copy_runs=cfg.run_dispatch_threshold,
-                    assume_bounded=True,
-                )
-            current, scratch = scratch, current
-            source = current
+                last = np.empty((batch.shape[0], num_features), dtype=level0.dtype)
+                last[remaining] = top[np.searchsorted(alive_rows, target_rows[remaining])]
+                target_history.append(last)
             timings.propagation += time.perf_counter() - start
-            macs.propagation += float(nnz) * num_features
-
-            # Fancy indexing already yields a fresh array — no copy needed.
-            target_history.append(current[target_local])
 
             if depth < cfg.t_min:
                 continue
 
             if depth < cfg.t_max and self.policy is not None and remaining.size:
                 start = time.perf_counter()
-                propagated_remaining = current[target_local[remaining]]
+                propagated_remaining = target_history[depth][remaining]
                 stationary_remaining = stationary_batch[remaining]
                 exits = self.policy.should_exit(propagated_remaining, stationary_remaining, depth)
                 timings.decision += time.perf_counter() - start
@@ -433,7 +483,6 @@ class BatchEngine:
                         logits_store, batch, macs, timings, keep_logits,
                     )
                     remaining = remaining[~exits]
-                    dist_stale = True
             elif depth == cfg.t_max and remaining.size:
                 self._classify(
                     remaining, depth, target_history, predictions, assigned_depth,

@@ -168,14 +168,13 @@ class NAI:
         batch_size: int = 500,
         dtype: str = "float32",
         engine: str = "fused",
-        run_dispatch_threshold: int = 8,
     ) -> NAIConfig:
         """Build an :class:`NAIConfig` validated against the backbone depth.
 
         ``dtype`` selects the floating precision of the propagation hot path
         (the ``"float32"`` default halves its memory traffic; pass
         ``"float64"`` for full precision); ``engine`` switches between the
-        zero-copy ``"fused"`` engine and the naive ``"reference"`` one.
+        demand-driven ``"fused"`` engine and the naive ``"reference"`` one.
         """
         depth = self.backbone.depth if t_max is None else t_max
         config = NAIConfig(
@@ -185,7 +184,6 @@ class NAI:
             batch_size=batch_size,
             dtype=dtype,
             engine=engine,
-            run_dispatch_threshold=run_dispatch_threshold,
         )
         return config.validated_against_depth(self.backbone.depth)
 

@@ -2,8 +2,6 @@
 
 from .generators import SyntheticGraphSpec, generate_community_graph, generate_features
 from .kernels import (
-    auto_masked_spmm,
-    contiguous_runs,
     extract_local_csr_arrays,
     extract_submatrix,
     gather_columns,
@@ -12,7 +10,8 @@ from .kernels import (
     hop_distances,
     masked_row_spmm,
     masked_row_spmm_reference,
-    runs_nnz,
+    packed_row_spmm,
+    row_spmm,
 )
 from .normalization import (
     NormalizationScheme,
@@ -40,6 +39,8 @@ from .sampling import (
     batch_iterator,
     build_support_bundle,
     canonical_order,
+    closure_propagation_macs,
+    demand_closure,
     k_hop_neighborhood,
     support_cache_key,
     supporting_node_counts,
@@ -54,12 +55,12 @@ __all__ = [
     "SupportingSubgraph",
     "InductivePartition",
     "InductiveSplit",
-    "auto_masked_spmm",
     "batch_iterator",
     "build_inductive_partition",
     "build_support_bundle",
     "canonical_order",
-    "contiguous_runs",
+    "closure_propagation_macs",
+    "demand_closure",
     "extract_local_csr_arrays",
     "extract_submatrix",
     "gather_columns",
@@ -74,7 +75,8 @@ __all__ = [
     "masked_row_spmm",
     "masked_row_spmm_reference",
     "normalized_adjacency",
-    "runs_nnz",
+    "packed_row_spmm",
+    "row_spmm",
     "propagate_features",
     "propagation_steps",
     "resolve_gamma",

@@ -1,25 +1,23 @@
 """Zero-copy sparse kernels for the NAI online-inference hot path.
 
-The inference engine repeatedly needs ``(Â_local @ X)[rows]`` for a shrinking
-set of supporting rows.  Materialising ``Â_local[rows]`` with scipy fancy
-indexing allocates a fresh CSR matrix at every depth step; this module instead
-operates directly on the raw ``indptr/indices/data`` arrays of one CSR matrix
-built per batch:
+The inference engine repeatedly needs ``(Â @ X)[rows]`` for a row set that
+changes every depth and level.  Materialising ``Â[rows]`` with scipy fancy
+indexing would allocate a fresh CSR matrix each time; this module instead
+operates directly on the raw ``indptr/indices/data`` arrays of one CSR
+matrix (the global Â, or a bundle's local one):
 
-* :func:`masked_row_spmm` computes the SpMM for a set of *contiguous row
-  runs*, writing into a caller-owned, preallocated output buffer.  Each run
-  is dispatched to scipy's compiled ``csr_matvecs`` routine with zero-copy
-  slices of the CSR arrays — no submatrix is ever constructed.
-* :func:`contiguous_runs` converts a boolean row mask into those runs.
-  Because :func:`~repro.graph.sampling.k_hop_neighborhood` orders the local
-  nodes by hop distance, the "rows within ``h`` hops of the targets" mask is
-  a *prefix* of the row range (a single run) until the first early exit, and
-  stays highly clustered afterwards.
-* :func:`hop_distances` is a multi-source BFS over the raw CSR arrays used to
-  re-derive hop distances when early exits shrink the target set.
-* :func:`extract_submatrix` builds the per-batch local matrix with a single
-  row gather plus one vectorised column remap, avoiding scipy's slow
-  ``[:, cols]`` fancy column indexing.
+* :func:`row_spmm` computes ``(A @ X)[rows]`` for a sorted row set,
+  choosing from the runs and nnz it observes between
+  :func:`masked_row_spmm`, which dispatches each *contiguous row run* to
+  scipy's compiled ``csr_matvecs`` with zero-copy slices of the CSR
+  arrays, and :func:`gathered_row_spmm`, which compacts the rows first
+  (:func:`packed_row_spmm`) and issues one kernel call.
+* :func:`gather_columns` lists the neighbours of a row set — the demand
+  step of the engine — without building a submatrix.
+* :func:`hop_distances` is a multi-source BFS over the raw CSR arrays.
+* :func:`extract_submatrix` builds a local matrix with a single row gather
+  plus one vectorised column remap, avoiding scipy's slow ``[:, cols]``
+  fancy column indexing.
 
 All kernels are dtype-parametric: they run in whatever floating dtype the
 caller's buffers carry (the inference engine threads ``NAIConfig.dtype``
@@ -41,39 +39,20 @@ except ImportError:  # pragma: no cover - very old / stripped-down scipy
     _CSR_MATVECS = None
 
 
-def contiguous_runs(mask: np.ndarray) -> np.ndarray:
-    """Decompose a boolean mask into ``(start, stop)`` runs of True entries.
-
-    >>> contiguous_runs(np.array([True, True, False, True])).tolist()
-    [[0, 2], [3, 4]]
-    """
-    mask = np.asarray(mask, dtype=bool)
-    padded = np.concatenate(([False], mask, [False])).astype(np.int8)
-    boundaries = np.flatnonzero(np.diff(padded))
-    return boundaries.reshape(-1, 2)
-
-
-def runs_nnz(indptr: np.ndarray, runs: np.ndarray) -> int:
-    """Number of stored entries covered by the row ``runs`` of a CSR matrix."""
-    if len(runs) == 0:
-        return 0
-    runs = np.asarray(runs)
-    return int((indptr[runs[:, 1]] - indptr[runs[:, 0]]).sum())
-
-
 def _check_spmm_buffers(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     source: np.ndarray,
-    out: np.ndarray,
+    out: np.ndarray | None,
     *,
     assume_bounded: bool = False,
 ) -> None:
+    """Validate what the compiled kernel reads, and ``out`` unless packed (None)."""
     num_rows = indptr.shape[0] - 1
-    if source.ndim != 2 or out.ndim != 2:
+    if source.ndim != 2 or (out is not None and out.ndim != 2):
         raise ShapeError("masked_row_spmm needs 2-D source and output buffers")
-    if out.shape[0] != num_rows or source.shape[1] != out.shape[1]:
+    if out is not None and (out.shape[0] != num_rows or source.shape[1] != out.shape[1]):
         raise ShapeError(
             f"buffer shapes {source.shape} -> {out.shape} do not match a "
             f"{num_rows}-row CSR matrix"
@@ -88,12 +67,13 @@ def _check_spmm_buffers(
             f"source has {source.shape[0]} rows but the CSR matrix references "
             f"column {int(indices.max())}"
         )
-    if not (data.dtype == source.dtype == out.dtype):
+    out_dtype = source.dtype if out is None else out.dtype
+    if not (data.dtype == source.dtype == out_dtype):
         raise ShapeError(
             "masked_row_spmm requires matching dtypes, got "
-            f"data={data.dtype}, source={source.dtype}, out={out.dtype}"
+            f"data={data.dtype}, source={source.dtype}, out={out_dtype}"
         )
-    if not source.flags.c_contiguous or not out.flags.c_contiguous:
+    if not source.flags.c_contiguous or (out is not None and not out.flags.c_contiguous):
         raise ShapeError("masked_row_spmm buffers must be C-contiguous")
 
 
@@ -132,8 +112,7 @@ def masked_row_spmm(
     """``out[a:b] = (A @ source)[a:b]`` for every run ``(a, b)``; returns nnz.
 
     ``A`` is given by its raw CSR arrays; rows outside the runs are left
-    untouched (the caller's double-buffering contract guarantees they are
-    never read again).  Returns the number of stored entries visited, which
+    untouched.  Returns the number of stored entries visited, which
     is exactly the MAC count of the product divided by the feature width.
     ``assume_bounded`` skips the O(nnz) column-bounds scan for CSR arrays
     whose columns are known < ``source.shape[0]`` by construction.
@@ -167,6 +146,47 @@ def masked_row_spmm(
     return total
 
 
+def packed_row_spmm(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    source: np.ndarray,
+    rows: np.ndarray,
+    *,
+    assume_bounded: bool = False,
+) -> tuple[np.ndarray, int]:
+    """``(A @ source)[rows]`` as a packed ``(len(rows), width)`` block, plus nnz.
+
+    Compacts the selected rows' entries into temporary CSR arrays with one
+    vectorised gather and runs a single compiled SpMM over them.  Each row
+    sums its stored entries in stored order, exactly like a full-matrix
+    product, so the block is bit-identical to the matching rows of
+    ``A @ source``.
+    """
+    _check_spmm_buffers(indptr, indices, data, source, None, assume_bounded=assume_bounded)
+    rows = np.asarray(rows, dtype=np.int64)
+    block = np.zeros((rows.size, source.shape[1]), dtype=source.dtype)
+    flat, row_ends = _flat_nnz_positions(indptr, rows)
+    total = flat.size
+    if total == 0:
+        return block, 0
+    sub_indptr = np.concatenate(([0], row_ends)).astype(indices.dtype)
+    sub_indices = indices[flat]
+    sub_data = data[flat]
+    if _CSR_MATVECS is not None:
+        _CSR_MATVECS(
+            rows.size, source.shape[0], source.shape[1],
+            sub_indptr, sub_indices, sub_data,
+            source.reshape(-1), block.reshape(-1),
+        )
+    else:  # pragma: no cover - fallback for scipy without _sparsetools
+        segment = sp.csr_matrix(
+            (sub_data, sub_indices, sub_indptr), shape=(rows.size, source.shape[0])
+        )
+        block = np.asarray(segment @ source)
+    return block, int(total)
+
+
 def gathered_row_spmm(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -179,78 +199,76 @@ def gathered_row_spmm(
 ) -> int:
     """``out[rows] = (A @ source)[rows]`` for an arbitrary (sorted) row set.
 
-    Compacts the selected rows' entries into temporary CSR arrays with one
-    vectorised gather and runs a single compiled SpMM over them.  Costs one
-    extra pass over the selected nnz, but issues exactly one kernel call —
-    the right trade once a row mask fragments into many contiguous runs.
+    :func:`packed_row_spmm` followed by one scatter.  Costs one extra pass
+    over the selected nnz, but issues exactly one kernel call — the right
+    trade once a row set fragments into many contiguous runs.
     """
     _check_spmm_buffers(indptr, indices, data, source, out, assume_bounded=assume_bounded)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return 0
-    flat, row_ends = _flat_nnz_positions(indptr, rows)
-    total = flat.size
-    if total == 0:
-        out[rows] = 0.0
-        return 0
-    sub_indptr = np.concatenate(([0], row_ends)).astype(indices.dtype)
-    sub_indices = indices[flat]
-    sub_data = data[flat]
-    block = np.zeros((rows.size, source.shape[1]), dtype=source.dtype)
-    if _CSR_MATVECS is not None:
-        _CSR_MATVECS(
-            rows.size, source.shape[0], source.shape[1],
-            sub_indptr, sub_indices, sub_data,
-            source.reshape(-1), block.reshape(-1),
-        )
-    else:  # pragma: no cover - fallback for scipy without _sparsetools
-        segment = sp.csr_matrix(
-            (sub_data, sub_indices, sub_indptr), shape=(rows.size, source.shape[0])
-        )
-        block = segment @ source
+    block, total = packed_row_spmm(
+        indptr, indices, data, source, rows, assume_bounded=True
+    )
     out[rows] = block
     return total
 
 
-#: Above this many contiguous runs, per-run kernel dispatch overhead exceeds
-#: the extra gather pass of :func:`gathered_row_spmm`.  The crossover depends
-#: on nnz-per-run and feature width; ``NAIConfig.run_dispatch_threshold``
-#: exposes it as a tunable so benchmarks can sweep it.
-_MAX_ZERO_COPY_RUNS = 8
+#: Per-run kernel dispatch costs about as much as gathering this many stored
+#: entries (one Python-level call into ``csr_matvecs`` against the
+#: ``_flat_nnz_positions`` gather plus the compacted copies).  Row sets whose
+#: runs carry fewer entries than this each are cheaper to compact first.
+_RUN_COST_NNZ = 256
 
 
-def auto_masked_spmm(
+def row_spmm(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     source: np.ndarray,
     out: np.ndarray,
-    mask: np.ndarray,
-    *,
-    max_zero_copy_runs: int = _MAX_ZERO_COPY_RUNS,
-    assume_bounded: bool = False,
+    rows: np.ndarray,
 ) -> int:
-    """Masked SpMM choosing the cheaper strategy for the mask's shape.
+    """``out[rows] = (A @ source)[rows]`` for sorted unique ``rows``; returns nnz.
 
-    Clustered masks (the common case — rows are hop-ordered) go through the
-    zero-copy per-run path; fragmented masks compact their rows first so a
-    single kernel call covers them.  ``max_zero_copy_runs`` sets the run-count
-    crossover between the two strategies.  Either way exactly the masked rows
-    are computed, so the returned nnz count equals the algorithmic MAC count.
+    Picks the cheaper strategy from the row set it is given: rows that form
+    few, long contiguous runs (a hop-ordered bundle's frontier) go through
+    zero-copy per-run dispatch (:func:`masked_row_spmm`); scattered rows (a
+    frontier in the global graph) are compacted first
+    (:func:`gathered_row_spmm`).  Both compute exactly the given rows with
+    the same per-row summation order, so the choice never changes a value
+    or the returned nnz.  Columns must be bounded by ``source`` (the CSR is
+    an immutable deployment or bundle matrix — the bounds scan is skipped).
     """
-    runs = contiguous_runs(mask)
-    if len(runs) <= max_zero_copy_runs:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return 0
+    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+    num_runs = breaks.size + 1
+    nnz = int(indptr[rows + 1].sum() - indptr[rows].sum())
+    if num_runs * _RUN_COST_NNZ <= nnz:
+        starts = rows[np.concatenate(([0], breaks))]
+        stops = rows[np.concatenate((breaks - 1, [rows.size - 1]))] + 1
         return masked_row_spmm(
-            indptr, indices, data, source, out, runs, assume_bounded=assume_bounded
+            indptr, indices, data, source, out,
+            np.stack((starts, stops), axis=1), assume_bounded=True,
         )
     return gathered_row_spmm(
-        indptr, indices, data, source, out, np.flatnonzero(mask),
-        assume_bounded=assume_bounded,
+        indptr, indices, data, source, out, rows, assume_bounded=True
     )
 
 
 def gather_columns(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated column indices of ``rows`` without building a submatrix."""
+    """Concatenated column indices of ``rows`` without building a submatrix.
+
+    Consecutive rows (a hop-ordered bundle's frontier) are one slice of
+    ``indices`` and come back as a read-only view, with no gather at all.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size > 1 and np.all(np.diff(rows) == 1):
+        view = indices[indptr[rows[0]]:indptr[rows[-1] + 1]]
+        view.flags.writeable = False
+        return view
     flat, _ = _flat_nnz_positions(indptr, rows)
     return indices[flat]
 

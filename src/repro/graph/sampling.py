@@ -9,12 +9,16 @@ nodes is exactly the quantity the paper's acceleration attacks.
 Hot-path architecture
 ---------------------
 :func:`k_hop_neighborhood` returns the local nodes **sorted by hop distance**
-(targets first, then the hop-1 frontier, and so on).  The inference engine
-relies on this ordering: the set of rows within ``h`` hops of the targets is
-always a *prefix* of the local row range, so per-depth support pruning is a
-single ``searchsorted`` over :attr:`SupportingSubgraph.hops` instead of a BFS
-(see :mod:`repro.graph.kernels` and :mod:`repro.core.inference`).  All index
-maps are vectorised numpy inverse permutations — no Python dict lookups.
+(targets first, then the hop-1 frontier, and so on), ascending global id
+within a hop.  A bundle's row order therefore depends only on the target
+set, which is what lets the serving cache share one bundle across
+permutations and slice subsets out of it bit-identically, and the rows the
+inference engine computes cluster into long contiguous runs.  All index maps
+are vectorised numpy inverse permutations — no Python dict lookups.
+
+The engine itself needs no bundle when it holds the full graph: it pulls
+rows on demand from the global CSR.  :func:`demand_closure` states which
+rows that is, as an oracle independent of the engine loop.
 """
 
 from __future__ import annotations
@@ -74,9 +78,8 @@ class SupportingSubgraph:
     def prefix_within(self, hop: int) -> int:
         """Number of leading local rows within ``hop`` hops of the targets.
 
-        Because ``hops`` is sorted, the rows needing an update at a given
-        remaining depth form the prefix ``[0, prefix_within(h))`` — this is
-        the hop-indexed support pruning used by the fused inference engine.
+        Because ``hops`` is sorted, these rows form the prefix
+        ``[0, prefix_within(h))`` of the local row range.
         """
         return int(np.searchsorted(self.hops, hop, side="right"))
 
@@ -177,8 +180,8 @@ class SupportBundle:
     only, so MAC accounting is unaffected.
 
     All arrays are treated as read-only by the engine: propagation reads the
-    hop-0 rows from :attr:`local_features` and writes depth ≥ 1 states into
-    worker-owned double buffers, never back into the bundle.
+    features from :attr:`local_features` and writes depth ≥ 1 states into
+    engine-owned memo buffers, never back into the bundle.
     """
 
     support: SupportingSubgraph
@@ -306,18 +309,23 @@ def slice_support_bundle(
 ) -> SupportBundle:
     """Carve the supporting bundle for ``targets`` out of a superset bundle.
 
-    If every target is contained in ``bundle``'s node set, the ``depth``-hop
-    support of ``targets`` is a subset of the bundle's nodes and all of its
-    edges are present in the bundle's local CSR, so the slice can be built
-    without touching the full graph or the transport layer.  The result is
-    **bit-identical** to a fresh :func:`build_support_bundle` for the same
-    targets: local rows are re-sorted into the fresh build's (hop, global id)
-    order, and the sub-CSR extraction preserves per-row column order.
+    ``bundle`` must have been built at ``depth`` (or deeper) and every one
+    of ``targets`` must be one of *its targets* (hop 0).  Then the
+    ``depth``-hop support of ``targets`` is a subset of the bundle's nodes
+    and all of its edges are present in the bundle's local CSR, so the
+    slice can be built without touching the full graph or the transport
+    layer.  The result is **bit-identical** to a fresh
+    :func:`build_support_bundle` for the same targets: local rows are
+    re-sorted into the fresh build's (hop, global id) order, and the sub-CSR
+    extraction preserves per-row column order.
 
-    Raises :class:`~repro.exceptions.GraphConstructionError` when a target is
-    missing from the bundle or the slice would need rows beyond ``depth``
-    hops that the bundle cannot prove it holds (i.e. the bundle was built
-    for a shallower depth).
+    A node the bundle reached at hop ``h ≥ 1`` is not enough: its own
+    ``depth``-hop ball extends ``h`` hops past the bundle's edge, so a slice
+    for it would silently drop rows.  Raises
+    :class:`~repro.exceptions.GraphConstructionError` when a target is
+    missing from the bundle or is not one of its hop-0 targets.  The bundle
+    does not record its depth; the serving cache keys bundles by depth, so
+    its lookups always pass a matching one.
     """
     start = time.perf_counter()
     targets = np.asarray(targets, dtype=np.int64)
@@ -338,6 +346,11 @@ def slice_support_bundle(
             "slice_support_bundle: targets are not contained in the bundle"
         )
     target_rows = order[pos]
+    if np.any(support.hops[target_rows] != 0):
+        raise GraphConstructionError(
+            "slice_support_bundle: targets must be targets (hop 0) of the "
+            "bundle; the support of a node reached at hop >= 1 extends past it"
+        )
     # Hop distances over the bundle's own CSR reproduce the full-graph BFS
     # exactly: every node within `depth` hops of a contained target is in
     # the bundle (supports are monotone in the target set) along with every
@@ -387,6 +400,76 @@ def supporting_node_counts(
     """
     sub = k_hop_neighborhood(graph, targets, max_depth, include_adjacency=False)
     return [sub.prefix_within(depth) for depth in range(max_depth + 1)]
+
+
+def demand_closure(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    targets: np.ndarray,
+    depths: np.ndarray,
+    t_max: int,
+) -> list[np.ndarray]:
+    """Rows whose ``X^(j)`` a demand-driven batch must compute, per level.
+
+    Returns ``[S_1, ..., S_t_max]`` (sorted row arrays) where
+    ``S_j = {v : dist(v, t) <= depths[t] - j for some target t}``: a target
+    classified at depth ``D_t`` needs ``X^(D_t)`` of itself, hence
+    ``X^(D_t - 1)`` of its Â-neighbours, and so on down to the features.
+    ``indptr``/``indices`` give the CSR structure of Â (global or a
+    bundle's local arrays, with ``targets`` as rows of it).
+
+    This is the independent oracle for the engine's propagation MACs —
+    ``F · Σ_j Σ_{v ∈ S_j} nnz(Â[v])`` — so it deliberately shares no code
+    with the engine loop: one bucketed BFS with a radius per target
+    computes ``slack[v] = max_t (D_t - dist(v, t))``, and
+    ``S_j = {v : slack[v] >= j}``.
+    """
+    num_rows = indptr.shape[0] - 1
+    structure = sp.csr_matrix(
+        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
+        shape=(num_rows, num_rows),
+    )
+    targets = np.asarray(targets, dtype=np.int64)
+    depths = np.asarray(depths, dtype=np.int64)
+    slack = np.full(num_rows, -1, dtype=np.int64)
+    np.maximum.at(slack, targets, depths)
+    # Radii only shrink along a path, so settling buckets from the largest
+    # radius down visits every row once at its final slack.
+    for radius in range(int(depths.max(initial=0)), 0, -1):
+        frontier = np.flatnonzero(slack == radius)
+        if frontier.size:
+            np.maximum.at(slack, structure[frontier].indices, radius - 1)
+    return [np.flatnonzero(slack >= level) for level in range(1, t_max + 1)]
+
+
+def closure_propagation_macs(
+    normalized_adjacency: sp.csr_matrix,
+    node_ids: np.ndarray,
+    depths: np.ndarray,
+    *,
+    t_max: int,
+    batch_size: int,
+    num_features: int,
+) -> int:
+    """Propagation MACs of demand-driven inference over ``node_ids``.
+
+    Sums ``F · Σ_j Σ_{v ∈ S_j} nnz(Â[v])`` (:func:`demand_closure`) over the
+    consecutive batches :func:`batch_iterator` cuts, given the exit depth
+    of every node — what ``NAIPredictor.predict`` must report.
+    """
+    indptr = normalized_adjacency.indptr
+    row_nnz = np.diff(indptr).astype(np.int64)
+    depths = np.asarray(depths, dtype=np.int64)
+    total = 0
+    offset = 0
+    for batch in batch_iterator(node_ids, batch_size):
+        batch_depths = depths[offset:offset + batch.shape[0]]
+        offset += batch.shape[0]
+        for rows in demand_closure(
+            indptr, normalized_adjacency.indices, batch, batch_depths, t_max
+        ):
+            total += int(row_nnz[rows].sum())
+    return total * int(num_features)
 
 
 def batch_iterator(node_ids: np.ndarray, batch_size: int) -> list[np.ndarray]:

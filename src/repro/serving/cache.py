@@ -181,7 +181,7 @@ class SubgraphCache(_LruCache):
         *,
         scan_limit: int = 64,
     ):
-        """Find a cached bundle whose node set contains ``sorted_ids``.
+        """Find a cached bundle whose *target* set contains ``sorted_ids``.
 
         The wave dispatcher calls this after an exact-key miss (which the
         caller has already counted): a previously cached union whose target

@@ -5,8 +5,8 @@ concurrent requests overwhelmingly *overlap*: their supporting subgraphs
 share frontier rows that the per-batch engine recomputes once per batch.
 A **wave** takes several already-coalesced micro-batches, concatenates
 their node ids into one union batch, and runs the existing fused engine
-**once** over the union support (one BFS + one CSR extraction + one
-propagation sweep).  Per-request results are then scattered back from the
+**once** over the union support (one bundle build + one propagation
+sweep).  Per-request results are then scattered back from the
 union result.
 
 Why this is bit-identical to isolated execution
@@ -26,17 +26,18 @@ transports).
 MAC attribution
 ---------------
 The engine reports one :class:`~repro.core.inference.MACBreakdown` for
-the union sweep.  :func:`attribute_wave_macs` replays the fused loop's
-*arithmetic shape* — which rows propagate at each depth, who still pays
-exit decisions, who classifies where — in exact integer arithmetic and
-splits every term across the member batches:
+the union sweep.  :func:`attribute_wave_macs` replays the sweep's
+*arithmetic shape* from the exit depths alone, in exact integer
+arithmetic, and splits every term across the member batches:
 
-- **propagation**: a computed row's ``row_nnz x F`` MACs are split
-  equally among the members that still *need* the row at that depth (a
-  member needs a row while it lies within the remaining hop budget of
-  one of its not-yet-exited occurrences); the integer remainder goes to
-  the lowest-indexed needing member.  Rows needed by two or more members
-  are the wave's savings — their MAC mass is reported as
+- **propagation**: the demand-driven sweep computed ``X^(j)`` for the
+  union of the members' demand closures ``S_j``
+  (:func:`~repro.graph.sampling.demand_closure`: rows within ``D_t - j``
+  hops of an occurrence ``t`` that exited at depth ``D_t``).  A row's
+  ``row_nnz x F`` MACs at level ``j`` are split equally among the
+  members whose own ``S_j`` holds it; the integer remainder goes to the
+  lowest-indexed of them.  Rows needed by two or more members are the
+  wave's savings — their MAC mass is reported as
   ``shared_row_fraction``.
 - **decision / classification**: charged to the owning member of each
   occurrence (these are per-occurrence terms, never shared).
@@ -58,8 +59,7 @@ import numpy as np
 
 from ..core.inference import InferenceResult, MACBreakdown, TimingBreakdown
 from ..exceptions import ServingError
-from ..graph.kernels import hop_distances
-from ..graph.sampling import SupportBundle
+from ..graph.sampling import SupportBundle, demand_closure
 
 __all__ = [
     "WaveAttribution",
@@ -126,21 +126,6 @@ class WaveResult:
         return self.attribution.member_macs[index]
 
 
-def _needed_rows(
-    bundle: SupportBundle,
-    occurrence_rows: np.ndarray,
-    hop_budget: int,
-) -> np.ndarray:
-    """Boolean mask of local rows within ``hop_budget`` hops of the targets."""
-    num_local = bundle.num_local
-    if occurrence_rows.size == 0:
-        return np.zeros(num_local, dtype=bool)
-    dist = hop_distances(
-        bundle.indptr, bundle.indices, occurrence_rows, num_local, hop_budget
-    )
-    return dist <= hop_budget
-
-
 def attribute_wave_macs(
     bundle: SupportBundle,
     offsets: np.ndarray,
@@ -155,12 +140,11 @@ def attribute_wave_macs(
 
     ``bundle`` must be the exact bundle the sweep executed (targets in
     union batch order); ``offsets`` delimits member ``k``'s occurrences
-    as ``[offsets[k], offsets[k+1])``.  The replay mirrors the fused
-    loop's control flow — prefix-mode hop pruning until the first exit,
-    BFS-refreshed needed sets after — using only ``result.depths``, so it
-    runs no floating-point propagation.  Raises
-    :class:`~repro.exceptions.ServingError` if the attributed totals do
-    not reconcile exactly with ``result.macs``.
+    as ``[offsets[k], offsets[k+1])``.  The replay recomputes each
+    member's demand closure (:func:`~repro.graph.sampling.demand_closure`)
+    from ``result.depths`` alone, so it runs no floating-point
+    propagation.  Raises :class:`~repro.exceptions.ServingError` if the
+    attributed totals do not reconcile exactly with ``result.macs``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     depths = np.asarray(result.depths, dtype=np.int64)
@@ -173,6 +157,7 @@ def attribute_wave_macs(
         )
     num_features = int(bundle.local_features.shape[1])
     target_local = bundle.support.target_local
+    num_local = bundle.num_local
     row_nnz = np.diff(bundle.indptr).astype(np.int64)
     t_min, t_max = int(config.t_min), int(config.t_max)
 
@@ -193,57 +178,52 @@ def attribute_wave_macs(
     shares[0] += graph_term - int(shares.sum())
     stationary += shares + member_sizes * num_features
 
+    # Propagation: the sweep computed X^(j) for the union of the members'
+    # demand closures S_j.  A row's nnz x F MACs are split equally among
+    # the members whose own closure holds it; the remainder goes to the
+    # lowest-indexed one.
+    closures = [
+        demand_closure(
+            bundle.indptr,
+            bundle.indices,
+            target_local[offsets[k] : offsets[k + 1]],
+            depths[offsets[k] : offsets[k + 1]],
+            t_max,
+        )
+        for k in range(num_members)
+    ]
+    for level in range(t_max):
+        counts = np.zeros(num_local, dtype=np.int64)
+        first_needer = np.full(num_local, num_members, dtype=np.int64)
+        for k in range(num_members):
+            rows = closures[k][level]
+            counts[rows] += 1
+            np.minimum.at(first_needer, rows, k)
+        rows = np.flatnonzero(counts)
+        row_macs = row_nnz[rows] * num_features
+        share = row_macs // counts[rows]
+        share_of = np.zeros(num_local, dtype=np.int64)
+        share_of[rows] = share
+        for k in range(num_members):
+            prop[k] += int(share_of[closures[k][level]].sum())
+        np.add.at(prop, first_needer[rows], row_macs - share * counts[rows])
+        shared_row_macs += int(row_macs[counts[rows] >= 2].sum())
+        total_row_macs += int(row_macs.sum())
+
     decision_cost = (
         int(policy.decision_macs_per_node(num_features))
         if policy is not None
         else 0
     )
-
-    prefix_mode = True
     for depth in range(1, t_max + 1):
         alive = depths >= depth
         if not np.any(alive):
             break  # the engine broke out of the loop after depth-1's exits
-        hop_budget = t_max - depth
-        if prefix_mode:
-            union_needed = bundle.support.hops <= hop_budget
-        else:
-            union_needed = _needed_rows(bundle, target_local[alive], hop_budget)
-        rows = np.flatnonzero(union_needed)
-        row_macs = row_nnz[rows] * num_features
-
-        needs = np.zeros((num_members, rows.shape[0]), dtype=bool)
-        for k in range(num_members):
-            member_alive = alive[offsets[k] : offsets[k + 1]]
-            if not np.any(member_alive):
-                continue
-            occurrence_rows = target_local[offsets[k] : offsets[k + 1]][
-                member_alive
-            ]
-            needs[k] = _needed_rows(bundle, occurrence_rows, hop_budget)[rows]
-        counts = needs.sum(axis=0).astype(np.int64)
-        if np.any(counts == 0):
-            raise ServingError(
-                "wave attribution replay computed a row no member needs — "
-                "the replay diverged from the engine's pruning"
-            )
-        share = row_macs // counts
-        remainder = row_macs - share * counts
-        for k in range(num_members):
-            prop[k] += int(share[needs[k]].sum())
-        first_needer = needs.argmax(axis=0)
-        np.add.at(prop, first_needer, remainder)
-        shared_row_macs += int(row_macs[counts >= 2].sum())
-        total_row_macs += int(row_macs.sum())
-
         if depth < t_min:
             continue
         if depth < t_max and policy is not None:
             # Every still-alive occurrence pays one exit decision.
             np.add.at(decision, member_of[alive], decision_cost)
-            exited = alive & (depths == depth)
-            if np.any(exited):
-                prefix_mode = False
         exiting_now = depths == depth
         if np.any(exiting_now):
             cost = int(classifiers[depth - 1].classification_macs_per_node())

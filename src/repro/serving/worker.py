@@ -1,7 +1,7 @@
 """Parallel worker pool executing micro-batches on private batch engines.
 
 Each worker owns one :class:`~repro.core.inference.BatchEngine` — its own
-grow-only double buffers and raw-CSR scratch state — while sharing the
+grow-only memo buffers and raw-CSR scratch state — while sharing the
 prepared read-only deployment (features, normalized adjacency, stationary
 vectors, classifiers) with every sibling.  Independent micro-batches
 therefore run concurrently without contention, and the per-worker

@@ -179,12 +179,11 @@ class FaultInjectingTransport(ShardTransport):
         with self._lock:
             self._kill_windows = []
 
-    def _check_kills(self, op: str, requests: RequestBatch) -> None:
-        """Raise if any request of this round hits an active kill window."""
+    def _check_kills(self, op: str, requests: RequestBatch, round_index: int) -> None:
+        """Raise if any request of round ``round_index`` hits a kill window."""
         with self._lock:
             if not self._kill_windows:
                 return
-            round_index = self.rounds_seen - 1  # _next_action already ran
             windows = list(self._kill_windows)
         for shard_id, _ in requests:
             for window in windows:
@@ -220,16 +219,16 @@ class FaultInjectingTransport(ShardTransport):
         return self
 
     def fetch(self, op: str, requests: RequestBatch) -> list:
-        action = self._next_action()
+        action, round_index = self._next_action()
         if action == DISCONNECT and hasattr(self.inner, "disconnect"):
             self.inner.disconnect()
         if action in (DROP, DISCONNECT):
             raise TransportError(
-                f"injected {action} on round {self.rounds_seen} ({op})",
+                f"injected {action} on round {round_index + 1} ({op})",
                 op=op,
                 retryable=action == DROP or not self._disconnected,
             )
-        self._check_kills(op, requests)
+        self._check_kills(op, requests, round_index)
         if self.latency_seconds > 0:
             self.clock.sleep(self.latency_seconds)
         if self.reorder and len(requests) > 1:
@@ -244,25 +243,34 @@ class FaultInjectingTransport(ShardTransport):
         self._record_round(op, requests, payloads)
         return payloads
 
-    def _next_action(self) -> str:
+    def _next_action(self) -> tuple[str, int]:
+        """This round's action and its 0-based index, claimed atomically.
+
+        Concurrent fetchers (prefetch) share one wrapper: the index must be
+        the one claimed here, not ``rounds_seen`` re-read later, or a round
+        is judged against another fetch's window.
+        """
         with self._lock:
             self.rounds_seen += 1
-            if self._disconnected:
+            return self._action_locked(), self.rounds_seen - 1
+
+    def _action_locked(self) -> str:
+        if self._disconnected:
+            self.faults_injected += 1
+            return DISCONNECT
+        if self._script:
+            action = self._script.pop(0)
+            if action == DISCONNECT:
+                self._disconnected = True
+            if action != OK:
                 self.faults_injected += 1
-                return DISCONNECT
-            if self._script:
-                action = self._script.pop(0)
-                if action == DISCONNECT:
-                    self._disconnected = True
-                if action != OK:
-                    self.faults_injected += 1
-                    return action
-                # fall through: an explicit "ok" may still carry latency
-            elif self._fail_next > 0:
-                self._fail_next -= 1
-                self.faults_injected += 1
-                return DROP
-            return OK
+                return action
+            # fall through: an explicit "ok" may still carry latency
+        elif self._fail_next > 0:
+            self._fail_next -= 1
+            self.faults_injected += 1
+            return DROP
+        return OK
 
     def close(self) -> None:
         self.inner.close()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import NAIConfig
 from repro.exceptions import ConfigurationError, NotFittedError
 
 
@@ -48,7 +47,7 @@ class TestEngineLifecycle:
 
 class TestBufferReuse:
     def test_buffers_grow_only_and_results_stay_identical(self, deployed, tiny_dataset):
-        """Reusing the double buffers across batches must not leak state."""
+        """Reusing the memo buffers across batches must not leak state."""
         test_idx = np.asarray(tiny_dataset.split.test_idx)
         engine = deployed.make_engine()
         small, large = test_idx[:5], test_idx[:40]
@@ -58,9 +57,9 @@ class TestBufferReuse:
             np.testing.assert_array_equal(lhs.predictions, rhs.predictions)
             np.testing.assert_array_equal(lhs.depths, rhs.depths)
             assert lhs.macs.total == pytest.approx(rhs.macs.total)
-        buffer = engine._buffer_a
+        buffer = engine._memo_values[0]
         engine.run_batch(small)
-        assert engine._buffer_a is buffer  # no reallocation for smaller batches
+        assert engine._memo_values[0] is buffer  # no reallocation for smaller batches
 
     def test_engine_matches_predict(self, deployed, tiny_dataset):
         """One engine run over each predict-batch equals predict() itself."""
@@ -75,28 +74,3 @@ class TestBufferReuse:
         np.testing.assert_array_equal(
             np.concatenate(predictions), sequential.predictions
         )
-
-
-class TestRunDispatchThreshold:
-    def test_threshold_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            NAIConfig(t_min=1, t_max=2, run_dispatch_threshold=-1)
-
-    def test_threshold_sweep_preserves_outputs(self, trained_nai, tiny_dataset):
-        """Any crossover setting is a pure perf knob — outputs never change."""
-        results = []
-        for threshold in (0, 8, 1_000_000):
-            predictor = trained_nai.build_predictor(
-                policy="distance",
-                config=trained_nai.inference_config(
-                    distance_threshold=trained_nai.suggest_distance_threshold(0.5),
-                    run_dispatch_threshold=threshold,
-                ),
-            )
-            predictor.prepare(tiny_dataset.graph, tiny_dataset.features)
-            results.append(predictor.predict(np.asarray(tiny_dataset.split.test_idx)))
-        baseline = results[0]
-        for other in results[1:]:
-            np.testing.assert_array_equal(other.predictions, baseline.predictions)
-            np.testing.assert_array_equal(other.depths, baseline.depths)
-            assert other.macs.total == pytest.approx(baseline.macs.total)

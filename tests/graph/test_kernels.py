@@ -7,8 +7,6 @@ import scipy.sparse as sp
 from repro.exceptions import ShapeError
 from repro.graph import (
     CSRGraph,
-    auto_masked_spmm,
-    contiguous_runs,
     extract_local_csr_arrays,
     extract_submatrix,
     gather_columns,
@@ -18,7 +16,8 @@ from repro.graph import (
     k_hop_neighborhood,
     masked_row_spmm,
     masked_row_spmm_reference,
-    runs_nnz,
+    packed_row_spmm,
+    row_spmm,
 )
 
 
@@ -36,36 +35,19 @@ def source_matrix():
     return np.ascontiguousarray(rng.standard_normal((60, 9)))
 
 
-class TestContiguousRuns:
-    def test_empty_mask(self):
-        assert contiguous_runs(np.zeros(5, dtype=bool)).shape == (0, 2)
-
-    def test_full_mask_single_run(self):
-        assert contiguous_runs(np.ones(4, dtype=bool)).tolist() == [[0, 4]]
-
-    def test_fragmented_mask(self):
-        mask = np.array([True, False, True, True, False, True])
-        assert contiguous_runs(mask).tolist() == [[0, 1], [2, 4], [5, 6]]
-
-    def test_runs_nnz_matches_mask(self, random_csr):
-        rng = np.random.default_rng(0)
-        mask = rng.random(60) < 0.4
-        runs = contiguous_runs(mask)
-        expected = int(np.diff(random_csr.indptr)[mask].sum())
-        assert runs_nnz(random_csr.indptr, runs) == expected
-
-
 class TestMaskedSpMM:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_naive_submatrix_product(self, random_csr, source_matrix, dtype):
         matrix = random_csr.astype(dtype)
         source = np.ascontiguousarray(source_matrix, dtype=dtype)
-        rng = np.random.default_rng(3)
-        mask = rng.random(60) < 0.5
+        runs = np.array([[0, 7], [12, 13], [20, 41], [55, 60]])
+        mask = np.zeros(60, dtype=bool)
+        for start, stop in runs:
+            mask[start:stop] = True
         rows = np.flatnonzero(mask)
         out = np.full((60, 9), np.nan, dtype=dtype)
         nnz = masked_row_spmm(
-            matrix.indptr, matrix.indices, matrix.data, source, out, contiguous_runs(mask)
+            matrix.indptr, matrix.indices, matrix.data, source, out, runs
         )
         expected = masked_row_spmm_reference(matrix, source, rows)
         tol = 1e-12 if dtype == np.float64 else 1e-5
@@ -88,54 +70,70 @@ class TestMaskedSpMM:
         assert np.allclose(out[rows], expected, atol=tol)
         assert nnz == int(np.diff(matrix.indptr)[rows].sum())
 
-    def test_auto_dispatch_agrees_with_reference_on_any_mask(self, random_csr, source_matrix):
+    def test_row_spmm_agrees_with_reference_on_any_row_set(self, random_csr, source_matrix):
         rng = np.random.default_rng(11)
         for density in (0.05, 0.5, 0.95):
-            mask = rng.random(60) < density
-            if not mask.any():
+            rows = np.flatnonzero(rng.random(60) < density)
+            if not rows.size:
                 continue
-            out = np.zeros((60, 9))
-            auto_masked_spmm(
+            out = np.full((60, 9), np.nan)
+            nnz = row_spmm(
                 random_csr.indptr, random_csr.indices, random_csr.data,
-                source_matrix, out, mask,
+                source_matrix, out, rows,
             )
-            rows = np.flatnonzero(mask)
             expected = masked_row_spmm_reference(random_csr, source_matrix, rows)
             assert np.allclose(out[rows], expected, atol=1e-12)
+            assert nnz == int(np.diff(random_csr.indptr)[rows].sum())
+            untouched = np.setdiff1d(np.arange(60), rows)
+            assert np.isnan(out[untouched]).all()
 
-    def test_run_dispatch_threshold_is_a_pure_perf_knob(self, random_csr, source_matrix):
-        """Both dispatch strategies compute identical rows and nnz counts.
+    @pytest.mark.parametrize("rows", [np.arange(10, 50), np.array([0, 3, 4, 11, 30, 59])])
+    def test_row_spmm_strategies_are_bit_identical(
+        self, random_csr, source_matrix, rows, monkeypatch
+    ):
+        """Per-run dispatch and compaction compute identical rows and nnz.
 
-        ``max_zero_copy_runs=0`` forces the compacting gather for every mask;
-        a huge threshold forces per-run zero-copy dispatch.  The tunable
-        (exposed as ``NAIConfig.run_dispatch_threshold``) must never change
-        results, only performance.
+        ``row_spmm`` picks a strategy from the runs and nnz it observes; the
+        choice must never change a value, only performance.  Forcing each
+        strategy in turn (via the run-cost constant) checks that.
         """
-        rng = np.random.default_rng(23)
-        mask = rng.random(60) < 0.4
-        rows = np.flatnonzero(mask)
-        expected = masked_row_spmm_reference(random_csr, source_matrix, rows)
-        nnz_counts = []
-        for threshold in (0, 1_000_000):
+        from repro.graph import kernels
+
+        outputs, counts = [], []
+        for run_cost in (0, 10**9):
+            monkeypatch.setattr(kernels, "_RUN_COST_NNZ", run_cost)
             out = np.zeros((60, 9))
-            nnz = auto_masked_spmm(
-                random_csr.indptr, random_csr.indices, random_csr.data,
-                source_matrix, out, mask, max_zero_copy_runs=threshold,
+            counts.append(
+                row_spmm(
+                    random_csr.indptr, random_csr.indices, random_csr.data,
+                    source_matrix, out, rows,
+                )
             )
-            nnz_counts.append(nnz)
-            assert np.allclose(out[rows], expected, atol=1e-12)
-        assert nnz_counts[0] == nnz_counts[1]
+            outputs.append(out[rows])
+        assert np.array_equal(outputs[0], outputs[1])
+        assert counts[0] == counts[1]
+
+    def test_packed_row_spmm_matches_scattered(self, random_csr, source_matrix):
+        rows = np.array([1, 2, 9, 33, 58])
+        out = np.zeros((60, 9))
+        nnz = gathered_row_spmm(
+            random_csr.indptr, random_csr.indices, random_csr.data,
+            source_matrix, out, rows,
+        )
+        block, packed_nnz = packed_row_spmm(
+            random_csr.indptr, random_csr.indices, random_csr.data, source_matrix, rows
+        )
+        assert np.array_equal(block, out[rows])
+        assert packed_nnz == nnz
 
     def test_assume_bounded_skips_only_the_bounds_scan(self, random_csr, source_matrix):
         """assume_bounded must not change results for in-bounds arrays."""
-        mask = np.zeros(60, dtype=bool)
-        mask[5:25] = True
-        rows = np.flatnonzero(mask)
+        rows = np.arange(5, 25)
         expected = masked_row_spmm_reference(random_csr, source_matrix, rows)
         out = np.zeros((60, 9))
-        auto_masked_spmm(
+        masked_row_spmm(
             random_csr.indptr, random_csr.indices, random_csr.data,
-            source_matrix, out, mask, assume_bounded=True,
+            source_matrix, out, np.array([[5, 25]]), assume_bounded=True,
         )
         assert np.allclose(out[rows], expected, atol=1e-12)
 
@@ -246,3 +244,20 @@ class TestExtraction:
         assert sub.adjacency is None
         with pytest.raises(Exception):
             sub.as_graph()
+
+
+class TestPackedValidation:
+    def test_packed_rejects_short_source_instead_of_oob_read(self, random_csr, source_matrix):
+        short_source = np.ascontiguousarray(source_matrix[:40])
+        with pytest.raises(ShapeError):
+            packed_row_spmm(
+                random_csr.indptr, random_csr.indices, random_csr.data,
+                short_source, np.array([0, 1]),
+            )
+
+    def test_packed_rejects_dtype_mismatch(self, random_csr, source_matrix):
+        with pytest.raises(ShapeError):
+            packed_row_spmm(
+                random_csr.indptr, random_csr.indices, random_csr.data,
+                source_matrix.astype(np.float32), np.array([0, 1]),
+            )

@@ -7,9 +7,11 @@ from repro.exceptions import GraphConstructionError
 from repro.graph import (
     CSRGraph,
     batch_iterator,
+    build_support_bundle,
     k_hop_neighborhood,
     supporting_node_counts,
 )
+from repro.graph.sampling import slice_support_bundle
 
 # A path graph 0-1-2-3-4-5 makes hop counts easy to reason about.
 PATH = CSRGraph.from_edges([(i, i + 1) for i in range(5)], num_nodes=6)
@@ -83,3 +85,46 @@ class TestBatchIterator:
     def test_rejects_non_positive_batch(self):
         with pytest.raises(ValueError):
             batch_iterator(np.arange(5), 0)
+
+
+class TestSliceSupportBundle:
+    """Slicing a bundle is exact for its own targets and refuses anything else."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        from repro import load_dataset
+        from repro.graph import normalized_adjacency
+
+        dataset = load_dataset("flickr-sim", scale=0.25)
+        return dataset, normalized_adjacency(dataset.graph).astype(np.float32)
+
+    def _bundle(self, deployment, targets, depth=3):
+        dataset, a_hat = deployment
+        return build_support_bundle(
+            dataset.graph, a_hat, dataset.features.astype(np.float32),
+            np.sort(np.asarray(targets, dtype=np.int64)), depth,
+        )
+
+    def test_slice_for_bundle_targets_equals_fresh_build(self, deployment):
+        targets = np.asarray(deployment[0].split.test_idx[:4], dtype=np.int64)
+        bundle = self._bundle(deployment, targets)
+        subset = np.sort(targets)[[0, 2]]
+        sliced = slice_support_bundle(bundle, subset, 3)
+        fresh = self._bundle(deployment, subset)
+        np.testing.assert_array_equal(sliced.support.node_ids, fresh.support.node_ids)
+        np.testing.assert_array_equal(sliced.indptr, fresh.indptr)
+        np.testing.assert_array_equal(sliced.indices, fresh.indices)
+        np.testing.assert_array_equal(sliced.local_features, fresh.local_features)
+
+    def test_slice_rejects_targets_reached_at_hop_one(self, deployment):
+        """A hop-1 node's 3-hop ball reaches past a 3-hop bundle."""
+        targets = np.asarray(deployment[0].split.test_idx[:4], dtype=np.int64)
+        bundle = self._bundle(deployment, targets)
+        hop_one = bundle.support.node_ids[bundle.support.hops == 1][:2]
+        assert hop_one.size == 2
+        subset = np.concatenate((np.sort(targets)[:1], hop_one))
+        with pytest.raises(GraphConstructionError):
+            slice_support_bundle(bundle, subset, 3)
+        # Why it must refuse: the true support holds nodes the bundle lacks.
+        fresh = self._bundle(deployment, subset)
+        assert np.setdiff1d(fresh.support.node_ids, bundle.support.node_ids).size > 0

@@ -162,10 +162,13 @@ class TestBundleReuse:
     def test_replay_skips_sampling_time(self, deployed, tiny_dataset):
         batch = np.asarray(tiny_dataset.split.test_idx[:25])
         engine = deployed.make_engine()
-        cold = engine.run_batch(batch)
-        warm = engine.run_batch(batch, bundle=bundle_for(deployed, batch))
-        assert cold.timings.sampling > 0
+        bundle = bundle_for(deployed, batch)
+        warm = engine.run_batch(batch, bundle=bundle)
+        assert bundle.build_seconds > 0
         assert warm.timings.sampling == 0.0
+        # A full-graph engine given no bundle propagates from the global CSR
+        # and samples nothing either.
+        assert engine.run_batch(batch).timings.sampling == 0.0
 
     def test_bundle_nbytes_positive(self, deployed, tiny_dataset):
         bundle = bundle_for(deployed, np.asarray(tiny_dataset.split.test_idx[:10]))
